@@ -168,7 +168,6 @@ void GpuBackend::Setup(const ProclusParams& params,
     d_dl_size_ = device_->Alloc<int>(k);
     d_c_ = device_->Alloc<int>(static_cast<int64_t>(k) * n);
     d_c_size_ = device_->Alloc<int>(k);
-    d_sizes_ = device_->Alloc<int64_t>(k);
     d_x_ = device_->Alloc<double>(static_cast<int64_t>(k) * d);
     d_z_ = device_->Alloc<double>(static_cast<int64_t>(k) * d);
     d_mcur_ids_ = device_->Alloc<int>(k);
@@ -180,6 +179,11 @@ void GpuBackend::Setup(const ProclusParams& params,
     d_sel_mask_ = device_->Alloc<char>(static_cast<int64_t>(k) * d);
     d_row_counts_ = device_->Alloc<int>(k);
     d_radii_ = device_->Alloc<float>(k);
+    d_cost_partials_ = device_->Alloc<double>(static_cast<int64_t>(k) * d);
+    // Delta-L compacts the k x n band tests, the widest of the three list
+    // builds (cluster lists compact n points).
+    d_compact_scratch_ = device_->Alloc<int>(
+        simt::OrderedCompactScratch(static_cast<int64_t>(k) * n, kBlock, k));
     k_capacity_ = k;
   }
   if (d_assignment_ == nullptr) {
@@ -369,36 +373,26 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
   device_->CopyToDevice(d_hi_, hi.data(), k);
   device_->CopyToDevice(d_lambda_, lambda.data(), k);
   {
-    int* dl = d_dl_;
-    int* dl_size = d_dl_size_;
+    // Item q = i * n + p tests point p against slot i's band; the list of
+    // slot i holds its band points in ascending p.
     const float* dist = d_dist_;
     const int* srows = d_slot_rows_;
     const float* dlo = d_lo_;
     const float* dhi = d_hi_;
-    const int64_t bpn = BlocksFor(n, kBlock);
-    device_->Launch(
-        "build_delta_l", {static_cast<int64_t>(k) * bpn, kBlock},
+    simt::OrderedCompact(
+        *device_, "build_delta_l", static_cast<int64_t>(k) * n, kBlock,
         simt::WorkEstimate{2.0 * k * n, 4.0 * k * n,
                            0.1 * k * n /* appended fraction */},
-        [&, n](simt::BlockContext& b) {
-          const int64_t i = b.block_idx() / bpn;
-          const int64_t pb = b.block_idx() % bpn;
-          const float band_lo = b.Load(&dlo[i]);
-          const float band_hi = b.Load(&dhi[i]);
-          const int64_t row = b.Load(&srows[i]);
-          const int64_t base = pb * kBlock;
-          const float* drow = b.LoadSpan(
-              dist + row * n + base, std::min<int64_t>(kBlock, n - base));
-          b.ForEachThread([&](int tid) {
-            const int64_t p = base + tid;
-            if (p >= n) return;
-            const float v = drow[tid];
-            if (v > band_lo && v <= band_hi) {
-              const int slot = b.AtomicInc(&dl_size[i]);
-              b.Store(&dl[i * n + slot], static_cast<int>(p));
-            }
-          });
-        });
+        [&, n](simt::BlockContext& b, int64_t q) {
+          const int64_t i = q / n;
+          const float v =
+              b.Load(&dist[int64_t{b.Load(&srows[i])} * n + (q - i * n)]);
+          return v > b.Load(&dlo[i]) && v <= b.Load(&dhi[i])
+                     ? static_cast<int>(i)
+                     : -1;
+        },
+        [n](int64_t q) { return static_cast<int>(q % n); },
+        simt::ListSet{d_dl_, d_dl_size_, k, n}, d_compact_scratch_);
     l_points_scanned_ += static_cast<int64_t>(k) * n;
   }
   dist_span.End();
@@ -680,15 +674,12 @@ void GpuBackend::LaunchAssign(bool with_outliers, bool zero_c_size) {
   const int* dims_offset = d_dims_offset_;
   const float* radii = d_radii_;
   int* assignment = d_assignment_;
-  int* c = d_c_;
-  int* c_size = d_c_size_;
-  if (zero_c_size) simt::Fill(*device_, "fill_c_size", c_size, k, 0);
+  if (zero_c_size) simt::Fill(*device_, "fill_c_size", d_c_size_, k, 0);
   const int64_t bpn = BlocksFor(n, assign_block);
   device_->Launch(
       "assign_points", {bpn, assign_block},
       simt::WorkEstimate{2.0 * n * k * params_.l,
-                         4.0 * n * (k * params_.l + 2.0),
-                         2.0 * n},
+                         4.0 * n * (k * params_.l + 1.0), 0.0},
       [&, n, with_outliers, assign_block](simt::BlockContext& b) {
         // Block-invariant inputs are span-checked once per block so the
         // per-point loop below runs on raw pointers (the medoid rows are
@@ -726,15 +717,11 @@ void GpuBackend::LaunchAssign(bool with_outliers, bool zero_c_size) {
             }
             if (with_outliers && sd <= rads[i]) within = true;
           }
-          const int cluster = (with_outliers && !within) ? kOutlier : arg;
-          b.Store(&assignment[p], cluster);
-          if (cluster != kOutlier) {
-            const int slot = b.AtomicInc(&c_size[cluster]);
-            b.Store(&c[int64_t{cluster} * n + slot], static_cast<int>(p));
-          }
+          b.Store(&assignment[p], (with_outliers && !within) ? kOutlier : arg);
         });
       });
   segmental_distances_ += n * k;
+  BuildClusterLists("build_clusters", assignment);
 }
 
 double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
@@ -748,15 +735,13 @@ double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
   const int* c_size = d_c_size_;
   const int* dims_flat = d_dims_flat_;
   const int* dims_offset = d_dims_offset_;
-  double* cost = d_cost_;
-  const double zero = 0.0;
-  device_->CopyToDevice(d_cost_, &zero, 1);
+  double* partials = d_cost_partials_;
   // One block per selected (cluster, dimension) pair; the centroid
-  // coordinate lives in shared memory (Algorithm 6).
+  // coordinate lives in shared memory (Algorithm 6). Each block writes its
+  // term of the cost, and evaluate_fold sums the terms in block order.
   device_->Launch(
       "evaluate", {total_dims_, 256},
-      simt::WorkEstimate{4.0 * n * params_.l, 8.0 * n * params_.l,
-                         static_cast<double>(total_dims_)},
+      simt::WorkEstimate{4.0 * n * params_.l, 8.0 * n * params_.l, 0.0},
       [&, n, d, k, assigned](simt::BlockContext& b) {
         // Resolve the (cluster, dim) pair of this block.
         int i = 0;
@@ -769,7 +754,10 @@ double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
         const int ndims =
             b.Load(&dims_offset[i + 1]) - b.Load(&dims_offset[i]);
         const int size = b.Load(&c_size[i]);
-        if (size == 0) return;
+        if (size == 0) {
+          b.Store(&partials[b.block_idx()], 0.0);
+          return;
+        }
         // The member list of cluster i is block-invariant: one span check,
         // raw gathers below.
         const int* members = b.LoadSpan(c + int64_t{i} * n, size);
@@ -789,9 +777,11 @@ double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
           dev += std::abs(static_cast<double>(b.Load(&data[p * d + j])) -
                           mean);
         });
-        b.AtomicAdd(cost, dev / (static_cast<double>(ndims) *
-                                 static_cast<double>(assigned)));
+        b.Store(&partials[b.block_idx()],
+                dev / (static_cast<double>(ndims) *
+                       static_cast<double>(assigned)));
       });
+  simt::FoldSum(*device_, "evaluate_fold", partials, total_dims_, d_cost_);
   double cost_host = 0.0;
   device_->CopyToHost(&cost_host, d_cost_, 1);
   if (sizes != nullptr) {
@@ -800,6 +790,17 @@ double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
     sizes->assign(sizes32.begin(), sizes32.end());
   }
   return cost_host;
+}
+
+void GpuBackend::BuildClusterLists(const char* name, const int* assignment) {
+  const int64_t n = data_.rows();
+  simt::OrderedCompact(
+      *device_, name, n, kBlock, simt::WorkEstimate{0.0, 4.0 * n, 1.0 * n},
+      [assignment](simt::BlockContext& b, int64_t p) {
+        return b.Load(&assignment[p]);
+      },
+      [](int64_t p) { return static_cast<int>(p); },
+      simt::ListSet{d_c_, d_c_size_, params_.k, n}, d_compact_scratch_);
 }
 
 void GpuBackend::SaveBest() {
@@ -828,24 +829,12 @@ void GpuBackend::Refine(const std::vector<int>& mbest_midx,
 
   const float* data = d_data_;
   const int* ids = d_mcur_ids_;
-  int* c = d_c_;
-  int* c_size = d_c_size_;
-  const int* best = d_best_assignment_;
+  const int* c = d_c_;
+  const int* c_size = d_c_size_;
 
   // L <- CBest: rebuild the cluster lists from the best assignment.
-  simt::Fill(*device_, "fill_c_size", c_size, k, 0);
-  device_->Launch("build_best_clusters", {BlocksFor(n, kBlock), kBlock},
-                  simt::WorkEstimate{0.0, 8.0 * n, 1.0 * n},
-                  [&, n](simt::BlockContext& b) {
-                    b.ForEachThread([&](int tid) {
-                      const int64_t p = b.block_idx() * kBlock + tid;
-                      if (p >= n) return;
-                      const int cluster = b.Load(&best[p]);
-                      const int slot = b.AtomicInc(&c_size[cluster]);
-                      b.Store(&c[int64_t{cluster} * n + slot],
-                              static_cast<int>(p));
-                    });
-                  });
+  simt::Fill(*device_, "fill_c_size", d_c_size_, k, 0);
+  BuildClusterLists("build_best_clusters", d_best_assignment_);
 
   // X over the best clusters.
   double* x = d_x_;

@@ -93,10 +93,16 @@ class GpuBackend : public Backend {
   void UploadDims(const std::vector<int>& dims_flat,
                   const std::vector<int>& dims_offset);
 
-  // Launches assign_points; when `with_outliers` is true, points outside
-  // every medoid's radius (radii_dev_) are assigned kOutlier. `zero_c_size`
+  // Launches assign_points and builds the cluster lists from its
+  // assignment; when `with_outliers` is true, points outside every
+  // medoid's radius (radii_dev_) are assigned kOutlier. `zero_c_size`
   // skips the size-reset kernel when a stream region already ran it.
   void LaunchAssign(bool with_outliers, bool zero_c_size = true);
+
+  // Builds the cluster point lists (d_c_, sizes added to the zeroed
+  // d_c_size_) from `assignment`, kOutlier entries skipped, each list in
+  // ascending point order.
+  void BuildClusterLists(const char* name, const int* assignment);
 
   // Launches evaluate over `assignment` and returns the cost; fills sizes.
   double LaunchEvaluate(const int* assignment, int64_t assigned,
@@ -125,12 +131,13 @@ class GpuBackend : public Backend {
   int* d_dl_size_ = nullptr;      // k
   int* d_c_ = nullptr;            // k x n   (cluster point lists)
   int* d_c_size_ = nullptr;       // k
-  int64_t* d_sizes_ = nullptr;    // k (cluster sizes for the driver)
   double* d_x_ = nullptr;         // k x d
   double* d_z_ = nullptr;         // k x d
   int* d_assignment_ = nullptr;   // n
   int* d_best_assignment_ = nullptr;  // n
   double* d_cost_ = nullptr;      // 1
+  double* d_cost_partials_ = nullptr;  // k x d (evaluate's per-block terms)
+  int* d_compact_scratch_ = nullptr;   // OrderedCompact counts, Delta-L size
   int* d_mcur_ids_ = nullptr;     // k (data ids of current medoids)
   int* d_slot_rows_ = nullptr;    // k (dist row per current slot)
   int* d_rows_scratch_ = nullptr;  // k (rows for compute_dist)

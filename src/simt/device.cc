@@ -157,8 +157,8 @@ void Device::Launch(const char* name, LaunchConfig cfg,
     return;
   }
   if (pool_.num_threads() == 1 || cfg.grid_dim == 1) {
-    // Single host worker: run blocks in order on the calling thread. This is
-    // the fully deterministic path.
+    // Single host worker: run blocks in order on the calling thread, with no
+    // pool hand-off.
     std::vector<char> shared(kSharedMemoryBytes);
     for (int64_t b = 0; b < cfg.grid_dim; ++b) {
       BlockContext block(b, cfg, &shared);

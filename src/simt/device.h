@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -36,7 +37,10 @@ bool SimtcheckEnvDefault();
 
 // Construction-time device knobs.
 struct DeviceOptions {
-  // Host worker threads that execute thread blocks (0 = single-threaded).
+  // Host worker threads that execute thread blocks (0 = one per hardware
+  // thread; 1 runs the blocks in order on the calling thread). Results do
+  // not depend on it: kernels combine cross-block work in block order
+  // (simt/primitives.h).
   int host_workers = 0;
   // Checked execution (simtcheck): shadow-track every access made through
   // the BlockContext accessors and report GPU-semantics violations (races,
@@ -167,17 +171,15 @@ class BlockContext {
   // which keeps results bit-identical and avoids atomic overhead. With
   // sanitize on, the access is checked and recorded as atomic — atomics
   // never race with each other but do race with non-atomic accesses.
+  //
+  // A floating-point add rounds differently per update order, so simtcheck
+  // reports one that several blocks make to the same global word
+  // (order_dependent_atomic).
   template <typename T>
   T AtomicAdd(T* ptr, T value) {
-    if (__builtin_expect(sanitizer_ == nullptr, 1)) {
-      if (InBlockShared(ptr)) {
-        const T old = *ptr;
-        *ptr = old + value;
-        return old;
-      }
-      return simt::AtomicAdd(ptr, value);
-    }
-    return AtomicAddChecked(ptr, value);
+    return Add(ptr, value, std::is_floating_point_v<T>
+                               ? Sanitizer::AccessKind::kOrderDependentAtomic
+                               : Sanitizer::AccessKind::kAtomic);
   }
 
   template <typename T>
@@ -206,9 +208,16 @@ class BlockContext {
     return AtomicMaxChecked(ptr, value);
   }
 
-  // atomicInc without wrap-around (slot reservation).
-  int32_t AtomicInc(int32_t* ptr) { return AtomicAdd(ptr, int32_t{1}); }
-  int64_t AtomicInc(int64_t* ptr) { return AtomicAdd(ptr, int64_t{1}); }
+  // atomicInc without wrap-around (slot reservation). Slots follow the
+  // order in which updates arrive, so simtcheck reports a word that several
+  // blocks reserve from (order_dependent_atomic); build cross-block lists
+  // with OrderedCompact (simt/primitives.h).
+  int32_t AtomicInc(int32_t* ptr) {
+    return Add(ptr, int32_t{1}, Sanitizer::AccessKind::kOrderDependentAtomic);
+  }
+  int64_t AtomicInc(int64_t* ptr) {
+    return Add(ptr, int64_t{1}, Sanitizer::AccessKind::kOrderDependentAtomic);
+  }
 
   // Allocates `count` zero-initialized elements of block-shared memory.
   // Valid until the block finishes. Mirrors CUDA __shared__ arrays,
@@ -246,6 +255,20 @@ class BlockContext {
     return p - shared_base_ < shared_capacity_;
   }
 
+  // AtomicAdd/AtomicInc; `checked_kind` is how simtcheck records the access.
+  template <typename T>
+  T Add(T* ptr, T value, Sanitizer::AccessKind checked_kind) {
+    if (__builtin_expect(sanitizer_ == nullptr, 1)) {
+      if (InBlockShared(ptr)) {
+        const T old = *ptr;
+        *ptr = old + value;
+        return old;
+      }
+      return simt::AtomicAdd(ptr, value);
+    }
+    return AtomicAddChecked(ptr, value, checked_kind);
+  }
+
   // Out-of-line checked access paths (sanitize on only). Kept noinline and
   // cold so the fast paths above compile to the raw access plus one branch.
   template <typename T>
@@ -271,8 +294,9 @@ class BlockContext {
   }
 
   template <typename T>
-  __attribute__((noinline, cold)) T AtomicAddChecked(T* ptr, T value) {
-    if (!Check(ptr, sizeof(T), Sanitizer::AccessKind::kAtomic)) return T{};
+  __attribute__((noinline, cold)) T AtomicAddChecked(
+      T* ptr, T value, Sanitizer::AccessKind kind) {
+    if (!Check(ptr, sizeof(T), kind)) return T{};
     const T old = *ptr;  // sanitize mode is single-threaded
     *ptr = old + value;
     return old;

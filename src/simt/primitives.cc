@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "simt/atomic.h"
 
@@ -23,25 +24,44 @@ void Iota(Device& device, const char* name, int* values, int64_t count) {
                 });
 }
 
-double ReduceSum(Device& device, const char* name, const double* values,
-                 int64_t count, double* out) {
-  *out = 0.0;
-  if (count > 0) {
-    const int64_t grid = (count + kBlock - 1) / kBlock;
-    device.Launch(
-        name, {grid, kBlock},
-        WorkEstimate{static_cast<double>(count), 8.0 * count,
-                     static_cast<double>(grid)},
-        [&](BlockContext& b) {
-          double local = 0.0;
-          b.ForEachThread([&](int tid) {
-            const int64_t i = b.block_idx() * kBlock + tid;
-            if (i < count) local += b.Load(&values[i]);
-          });
-          b.AtomicAdd(out, local);
-        });
-  }
+double FoldSum(Device& device, const char* name, const double* values,
+               int64_t count, double* out) {
+  device.Launch(name, {1, 1},
+                WorkEstimate{static_cast<double>(count), 8.0 * count, 0.0},
+                [&](BlockContext& b) {
+                  double sum = 0.0;
+                  for (int64_t i = 0; i < count; ++i) sum += b.Load(&values[i]);
+                  b.Store(out, sum);
+                });
   return *out;
+}
+
+int64_t ReduceSumScratch(int64_t count) {
+  return (count + kBlock - 1) / kBlock;
+}
+
+double ReduceSum(Device& device, const char* name, const double* values,
+                 int64_t count, double* partials, double* out) {
+  const int64_t grid = ReduceSumScratch(count);
+  if (grid > 0) {
+    device.Launch(name, {grid, kBlock},
+                  WorkEstimate{static_cast<double>(count), 8.0 * count,
+                               0.0},
+                  [&](BlockContext& b) {
+                    double local = 0.0;
+                    b.ForEachThread([&](int tid) {
+                      const int64_t i = b.block_idx() * kBlock + tid;
+                      if (i < count) local += b.Load(&values[i]);
+                    });
+                    b.Store(&partials[b.block_idx()], local);
+                  });
+  }
+  return FoldSum(device, (std::string(name) + "_fold").c_str(), partials,
+                 grid, out);
+}
+
+int64_t OrderedCompactScratch(int64_t count, int block_dim, int num_lists) {
+  return (count + block_dim - 1) / block_dim * num_lists;
 }
 
 float ReduceMin(Device& device, const char* name, const float* values,

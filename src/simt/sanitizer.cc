@@ -17,6 +17,7 @@ const char* AccessWord(Sanitizer::AccessKind kind) {
     case Sanitizer::AccessKind::kStore:
       return "store";
     case Sanitizer::AccessKind::kAtomic:
+    case Sanitizer::AccessKind::kOrderDependentAtomic:
       return "atomic";
   }
   return "access";
@@ -63,6 +64,8 @@ const char* ViolationKindName(ViolationKind kind) {
       return "shared_overflow";
     case ViolationKind::kUseAfterReset:
       return "use_after_reset";
+    case ViolationKind::kOrderDependentAtomic:
+      return "order_dependent_atomic";
   }
   return "unknown";
 }
@@ -145,7 +148,8 @@ void Sanitizer::TrackRace(std::vector<GranuleShadow>& granules,
                           int32_t phase, bool is_shared,
                           uint64_t arena_offset) {
   const bool is_write = kind != AccessKind::kLoad;
-  const bool is_atomic = kind == AccessKind::kAtomic;
+  const bool is_atomic = kind == AccessKind::kAtomic ||
+                         kind == AccessKind::kOrderDependentAtomic;
   // Granules are aligned to the arena base, not the access address.
   const uintptr_t first_start = addr - (arena_offset % kGranuleBytes);
   const size_t num_granules =
@@ -183,10 +187,22 @@ void Sanitizer::TrackRace(std::vector<GranuleShadow>& granules,
       // prior writes.
       const AccessRecord* other = conflict(gs.write, mask);
       if (other == nullptr && is_write) other = conflict(gs.read, mask);
+      ViolationKind vkind = ViolationKind::kCrossBlockRace;
+      if (other != nullptr) {
+        if (other->block == block) vkind = ViolationKind::kIntraBlockRace;
+      } else if (kind == AccessKind::kOrderDependentAtomic) {
+        // Atomics never race with each other, but two blocks updating one
+        // word with an order-dependent atomic leave a result that depends
+        // on which block ran first. (Shared records are per block.)
+        const AccessRecord& w = gs.write;
+        if (live(w) && (w.mask & mask) != 0 && w.atomic && w.block != block) {
+          other = &w;
+          vkind = ViolationKind::kOrderDependentAtomic;
+        }
+      }
       if (other != nullptr) {
         Violation v;
-        v.kind = other->block != block ? ViolationKind::kCrossBlockRace
-                                       : ViolationKind::kIntraBlockRace;
+        v.kind = vkind;
         v.block = block;
         v.tid = tid;
         v.phase = phase;
@@ -203,6 +219,9 @@ void Sanitizer::TrackRace(std::vector<GranuleShadow>& granules,
                << TidString(other->tid);
         if (other->block != block) detail << " of block " << other->block;
         detail << " in phase " << other->phase;
+        if (vkind == ViolationKind::kOrderDependentAtomic) {
+          detail << "; the result depends on block execution order";
+        }
         v.message = detail.str();
         Report(std::move(v));
         reported = true;

@@ -23,6 +23,12 @@
 //     (diagnosed and patched instead of aborting).
 //   * use-after-reset   — access to arena memory released by ResetArena() or
 //     FreeAll().
+//   * order-dependent atomic — a floating-point AtomicAdd, or an AtomicInc
+//     slot reservation, on a global word that another block updated
+//     atomically in the same launch. No race, but the result depends on the
+//     order in which blocks run, so it changes with the host worker count.
+//     Fold per-block partials (FoldSum) or compact lists (OrderedCompact)
+//     instead (simt/primitives.h).
 //
 // Shadow layout: all global memory comes from the device's bump arena, so
 // shadow state is flat and keyed by arena offset — one byte of liveness
@@ -52,6 +58,7 @@ enum class ViolationKind {
   kSharedOutOfBounds,
   kSharedOverflow,
   kUseAfterReset,
+  kOrderDependentAtomic,
 };
 
 // Stable lower_snake name ("intra_block_race", ...) for reports/metrics.
@@ -88,6 +95,9 @@ class Sanitizer {
     kLoad,
     kStore,
     kAtomic,  // atomic read-modify-write
+    // Atomic whose result depends on the order of the updates: a
+    // floating-point add (rounding) or a slot reservation (list order).
+    kOrderDependentAtomic,
   };
 
   Sanitizer() = default;

@@ -11,6 +11,7 @@
 #include "data/io.h"
 #include "store/pds_format.h"
 #include "testing/minijson.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::cli {
 namespace {
@@ -134,7 +135,7 @@ TEST(ParseArgsTest, DefaultsMatchLibraryDefaults) {
 class RunCliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_cli_test";
+    dir_ = ProcessTempPath("proclus_cli_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -9,6 +9,7 @@
 #include "data/generator.h"
 #include "data/normalize.h"
 #include "testing/must_cluster.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::core {
 namespace {
@@ -44,8 +45,7 @@ TEST(SerializationTest, RoundTripThroughStream) {
 }
 
 TEST(SerializationTest, RoundTripThroughFile) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "proclus_serial_test";
+  const auto dir = ProcessTempPath("proclus_serial_test");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "result.txt").string();
   const ProclusResult original = SampleResult();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::data {
 namespace {
@@ -14,7 +15,7 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_io_test";
+    dir_ = ProcessTempPath("proclus_io_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/io.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::data {
 namespace {
@@ -68,8 +69,7 @@ TEST(RealWorldTest, MaxPointsTruncates) {
 }
 
 TEST(RealWorldTest, DropInCsvIsPreferred) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "proclus_rw_test";
+  const auto dir = ProcessTempPath("proclus_rw_test");
   std::filesystem::create_directories(dir);
   // A tiny fake "glass.csv": 4 points, 9 features + label.
   Dataset fake;

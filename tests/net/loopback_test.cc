@@ -21,6 +21,7 @@
 #include "net/server.h"
 #include "service/job.h"
 #include "service/proclus_service.h"
+#include "testing/device_gate.h"
 
 namespace proclus::net {
 namespace {
@@ -191,29 +192,39 @@ TEST(LoopbackTest, UnknownDatasetFailsWithoutRetry) {
 
 TEST(LoopbackTest, DeadlineExceededCrossesTheWire) {
   const data::Dataset ds = TestData();
+  DeviceGate gate;
   service::ServiceOptions service_options;
   service_options.num_workers = 1;
+  service_options.device_fault_hook = gate.hook();
   Loopback loop(service_options);
+  const DeviceGate::OpenOnExit open_gate(&gate);
   ASSERT_TRUE(loop.service->RegisterDataset("d", ds.points).ok());
 
-  // Occupy the single worker so the timed request spends its whole budget
-  // in the queue.
+  // Occupy the single worker with a GPU job held at the gate, so the timed
+  // request spends its whole budget in the queue.
   service::JobSpec blocker;
-  blocker.kind = service::JobKind::kSweep;
+  blocker.kind = service::JobKind::kSingle;
   blocker.dataset_id = "d";
   blocker.params = TestParams();
-  blocker.sweep.settings = {{3, 3}, {4, 4}, {5, 4}, {4, 3}, {5, 5},
-                            {3, 4}, {4, 5}, {5, 3}, {3, 5}, {4, 4}};
-  blocker.sweep.reuse = core::ReuseLevel::kNone;
-  blocker.options = core::ClusterOptions::Cpu(core::Strategy::kBaseline);
+  blocker.options = core::ClusterOptions::Gpu();
   service::JobHandle blocker_handle;
   ASSERT_TRUE(loop.service->Submit(std::move(blocker), &blocker_handle).ok());
   // The timed request must spend its whole budget queued behind the
-  // blocker, so do not send it until the blocker actually holds the worker
-  // (a fast blocker could otherwise finish before the wire request lands).
+  // blocker, so do not send it until the blocker actually holds the worker.
   while (blocker_handle.phase() == service::JobPhase::kQueued) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // The waited call below returns only once the worker reaches the timed
+  // job. Open the gate once that job is queued and its 1 ms budget has
+  // certainly run out.
+  std::jthread opener([&](std::stop_token stop) {
+    while (loop.service->queue_depth() == 0) {
+      if (stop.stop_requested()) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    gate.Open();
+  });
 
   Request request;
   request.type = RequestType::kSubmitSingle;
@@ -290,20 +301,21 @@ TEST(LoopbackTest, QueueFullSurfacesRetryableResourceExhausted) {
 
 TEST(LoopbackTest, AsyncStatusAndCancelLifecycle) {
   const data::Dataset ds = TestData();
+  DeviceGate gate;
   service::ServiceOptions service_options;
   service_options.num_workers = 1;
+  service_options.device_fault_hook = gate.hook();
   Loopback loop(service_options);
+  const DeviceGate::OpenOnExit open_gate(&gate);
   ASSERT_TRUE(loop.service->RegisterDataset("d", ds.points).ok());
 
-  // A worker-occupying job plus the async job under test, so the latter
-  // is still queued when we cancel it.
+  // A GPU job held at the gate occupies the single worker, so the async
+  // job under test is still queued when we cancel it.
   Request blocker;
-  blocker.type = RequestType::kSubmitSweep;
+  blocker.type = RequestType::kSubmitSingle;
   blocker.dataset_id = "d";
   blocker.params = TestParams();
-  blocker.sweep.settings = {{3, 3}, {4, 4}, {5, 4}};
-  blocker.sweep.reuse = core::ReuseLevel::kNone;
-  blocker.options = core::ClusterOptions::Cpu(core::Strategy::kBaseline);
+  blocker.options = core::ClusterOptions::Gpu();
   blocker.wait = false;
   uint64_t blocker_id = 0;
   ASSERT_TRUE(loop.client.SubmitAsync(blocker, &blocker_id).ok());
@@ -326,9 +338,13 @@ TEST(LoopbackTest, AsyncStatusAndCancelLifecycle) {
   EXPECT_FALSE(status.has_result);
 
   ASSERT_TRUE(loop.client.Cancel(job_id).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (;;) {
     ASSERT_TRUE(loop.client.GetStatus(job_id, true, &status).ok());
     if (status.phase == "cancelled") break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "job never reached cancelled; last phase " << status.phase;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   // A terminal-failed job reports its status as the response error.

@@ -21,6 +21,7 @@
 #include "service/job.h"
 #include "service/proclus_service.h"
 #include "store/pds_format.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::net {
 namespace {
@@ -58,7 +59,7 @@ void ExpectSameClustering(const core::ProclusResult& a,
 class UploadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_upload_test";
+    dir_ = ProcessTempPath("proclus_upload_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "testing/minijson.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::obs {
 namespace {
@@ -186,12 +187,13 @@ TEST(TraceRecorderTest, WriteFileRoundTrips) {
   TraceRecorder recorder;
   recorder.AddInstant("marker", "test");
   const std::string path =
-      ::testing::TempDir() + "/proclus_trace_roundtrip.json";
+      ProcessTempPath("proclus_trace_roundtrip").string() + ".json";
   ASSERT_TRUE(recorder.WriteFile(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
+  std::filesystem::remove(path);
   JsonValue root;
   std::string error;
   EXPECT_TRUE(ParseJson(buffer.str(), &root, &error)) << error;

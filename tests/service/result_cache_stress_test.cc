@@ -18,6 +18,7 @@
 #include "service/job.h"
 #include "service/proclus_service.h"
 #include "service/result_cache.h"
+#include "testing/device_gate.h"
 
 namespace proclus::service {
 namespace {
@@ -169,15 +170,22 @@ TEST(ResultCacheStressTest, ConcurrentIdenticalSubmitsExecuteOnce) {
 
 TEST(ResultCacheStressTest, DedupWorksUnderQueueFullBackpressure) {
   const data::Dataset ds = TestData();
+  DeviceGate gate;
   ServiceOptions options = CachingOptions();
   options.num_workers = 1;
   options.queue_capacity = 1;
+  options.device_fault_hook = gate.hook();
   ProclusService service(options);
+  const DeviceGate::OpenOnExit open_gate(&gate);
 
-  // Occupy the lone worker, then fill the one queue slot with the leader.
+  // Occupy the lone worker with a GPU job held at the gate, then fill the
+  // one queue slot with the leader.
   JobHandle blocker;
-  ASSERT_TRUE(
-      service.Submit(SlowJob(ds.points, /*seed=*/1), &blocker).ok());
+  ASSERT_TRUE(service
+                  .Submit(JobSpec::Single(ds.points, TestParams(),
+                                          core::ClusterOptions::Gpu()),
+                          &blocker)
+                  .ok());
   SpinUntilRunning(blocker);
   JobHandle leader;
   ASSERT_TRUE(service.Submit(SlowJob(ds.points, /*seed=*/2), &leader).ok());
@@ -206,6 +214,7 @@ TEST(ResultCacheStressTest, DedupWorksUnderQueueFullBackpressure) {
       service.Submit(SlowJob(ds.points, /*seed=*/3), &distinct);
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
 
+  gate.Open();
   ASSERT_TRUE(leader.Wait().status.ok());
   for (int t = 0; t < kJoiners; ++t) {
     const JobResult& result = joiners[t].Wait();

@@ -19,6 +19,7 @@
 #include "data/normalize.h"
 #include "service/job.h"
 #include "service/proclus_service.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::service {
 namespace {
@@ -78,7 +79,7 @@ std::shared_ptr<const CachedResult> TestPayload(int tag) {
 class ResultCacheFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_rcache_test";
+    dir_ = ProcessTempPath("proclus_rcache_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -84,6 +84,57 @@ TEST(SimtcheckSeededTest, AtomicAddVersionOfTheSameKernelIsClean) {
   EXPECT_EQ(*counter, 4);
 }
 
+TEST(SimtcheckSeededTest, CrossBlockDoubleAtomicAddIsOrderDependent) {
+  Device device(DeviceProperties::Gtx1660Ti(), Checked());
+  double* sum = device.Alloc<double>(1);
+  device.Launch("seeded_float_atomic", {3, 1}, {}, [&](BlockContext& b) {
+    // Should write a per-block partial and fold the partials in block order.
+    b.ForEachThread([&](int) { b.AtomicAdd(sum, 0.1); });
+  });
+  const Sanitizer* sanitizer = device.sanitizer();
+  ASSERT_EQ(sanitizer->findings(), 2);  // blocks 1 and 2 each follow another
+  const Violation& v = sanitizer->violations().front();
+  EXPECT_EQ(v.kind, ViolationKind::kOrderDependentAtomic);
+  EXPECT_EQ(v.kernel, "seeded_float_atomic");
+  EXPECT_EQ(v.block, 1);
+  EXPECT_EQ(v.other_block, 0);
+  EXPECT_FALSE(v.shared);
+  EXPECT_NE(v.message.find("order_dependent_atomic"), std::string::npos);
+}
+
+TEST(SimtcheckSeededTest, CrossBlockSlotReservationIsOrderDependent) {
+  Device device(DeviceProperties::Gtx1660Ti(), Checked());
+  int32_t* size = device.Alloc<int32_t>(1);
+  int32_t* list = device.Alloc<int32_t>(4);
+  device.Launch("seeded_slot_append", {2, 2}, {}, [&](BlockContext& b) {
+    b.ForEachThread([&](int tid) {
+      const int32_t slot = b.AtomicInc(size);
+      b.Store(&list[slot], static_cast<int32_t>(b.block_idx() * 2 + tid));
+    });
+  });
+  const Sanitizer* sanitizer = device.sanitizer();
+  ASSERT_GE(sanitizer->findings(), 1);
+  const Violation& v = sanitizer->violations().front();
+  EXPECT_EQ(v.kind, ViolationKind::kOrderDependentAtomic);
+  EXPECT_EQ(v.block, 1);
+  EXPECT_EQ(v.other_block, 0);
+}
+
+TEST(SimtcheckSeededTest, OrderIndependentAtomicsAndBlockLocalAppendsAreClean) {
+  Device device(DeviceProperties::Gtx1660Ti(), Checked());
+  float* max = device.Alloc<float>(1);
+  int32_t* sizes = device.Alloc<int32_t>(2);
+  device.Launch("clean_atomics", {2, 2}, {}, [&](BlockContext& b) {
+    double* partial = b.Shared<double>(1);
+    b.ForEachThread([&](int tid) {
+      b.AtomicMax(max, static_cast<float>(tid));  // max commutes
+      b.AtomicAdd(partial, 0.1);                  // block-local sum
+      b.AtomicInc(&sizes[b.block_idx()]);         // one block per word
+    });
+  });
+  EXPECT_EQ(device.sanitizer()->findings(), 0);
+}
+
 TEST(SimtcheckSeededTest, SkippedSyncPhaseSplitIsAnIntraBlockRace) {
   Device device(DeviceProperties::Gtx1660Ti(), Checked());
   device.Launch("seeded_missing_sync", {1, 2}, {}, [&](BlockContext& b) {

@@ -13,6 +13,7 @@
 #include "data/matrix.h"
 #include "obs/metrics.h"
 #include "store/pds_format.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::store {
 namespace {
@@ -20,7 +21,7 @@ namespace {
 class DatasetStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_store_test";
+    dir_ = ProcessTempPath("proclus_store_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

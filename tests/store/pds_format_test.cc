@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "data/matrix.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::store {
 namespace {
@@ -16,7 +17,7 @@ namespace {
 class PdsFormatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_pds_test";
+    dir_ = ProcessTempPath("proclus_pds_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -18,6 +18,7 @@
 #include "service/proclus_service.h"
 #include "store/dataset_store.h"
 #include "store/pds_format.h"
+#include "testing/temp_dir.h"
 
 namespace proclus::store {
 namespace {
@@ -25,7 +26,7 @@ namespace {
 class StoreStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "proclus_store_stress";
+    dir_ = ProcessTempPath("proclus_store_stress");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 gate (build + full ctest), a checked-execution
+# CI entry point: the tier-1 gate (build + full ctest), a determinism stage
+# that repeats the GPU bit-identity and service/net concurrency suites five
+# times in parallel (a result that depends on block execution order or on
+# how long a job takes fails there within a few repeats), a checked-execution
 # pass that reruns the simt + core GPU suites with PROCLUS_SIMTCHECK=1 (the
 # simulator's race & memory checker; see docs/simt.md), a clang-tidy lint
 # stage over src/ (skipped when clang-tidy is not installed), the
@@ -55,6 +58,10 @@ cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
+echo "== determinism: GPU bit-identity + service/net concurrency suites, 5 repeats =="
+(cd build && ctest --output-on-failure --repeat until-fail:5 -j"$(nproc)" \
+    -R 'host_workers_test|primitives_test|equivalence_test|gpu_backend_test|sanitizer_test|service_test|service_stress_test|sweep_scheduler_test|result_cache_test|result_cache_stress_test|net_loopback_test|net_chaos_test|net_upload_test')
+
 echo "== checked execution: simt + core GPU suites under PROCLUS_SIMTCHECK=1 =="
 # Every internally constructed simt::Device runs in simtcheck mode, so the
 # production kernels must stay race- and memory-clean as the repo grows.
@@ -95,7 +102,7 @@ else
   cmake --build build-tsan -j
   echo "== TSAN: parallel / simt / obs / service / net / store suites =="
   (cd build-tsan && ctest --output-on-failure -j"$(nproc)" \
-      -R 'thread_pool_test|cancellation_test|device_test|atomic_test|stream_test|primitives_test|obs_trace_test|obs_metrics_test|service_test|service_stress_test|device_pool_test|sweep_scheduler_test|result_cache_test|result_cache_stress_test|net_loopback_test|net_server_stress_test|net_frame_test|net_fault_test|net_retry_test|net_chaos_test|net_upload_test|dataset_store_test|store_stress_test')
+      -R 'thread_pool_test|cancellation_test|device_test|host_workers_test|atomic_test|stream_test|primitives_test|obs_trace_test|obs_metrics_test|service_test|service_stress_test|device_pool_test|sweep_scheduler_test|result_cache_test|result_cache_stress_test|net_loopback_test|net_server_stress_test|net_frame_test|net_fault_test|net_retry_test|net_chaos_test|net_upload_test|dataset_store_test|store_stress_test')
 fi
 
 if [[ "$SKIP_SMOKE" == 1 ]]; then
